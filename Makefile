@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet race fuzz-smoke bench bench-sim bench-eval bench-assoc bench-serve bench-serve-smoke bench-optimize bench-cluster bench-cluster-smoke serve-check cover golden
+.PHONY: all build test check vet race fuzz-smoke bench bench-sim bench-eval bench-assoc bench-serve bench-serve-smoke bench-optimize bench-cluster bench-cluster-smoke bench-layered bench-layered-check serve-check cover golden
 
 all: build
 
@@ -104,6 +104,21 @@ bench-cluster:
 # throughput ≥ 2.5× single-replica. CI-friendly.
 bench-cluster-smoke:
 	$(GO) run ./cmd/clusterbench -smoke -duration 1s -o ""
+
+# The layered analysisd benchmark (perfbench/, declared by BENCHMARK.json):
+# one timed run of one workload. WORKLOAD is hot-repeat, fresh-sweep,
+# cold-nests or search; run from the repository root, outputs land in
+# .bench_build/.
+WORKLOAD ?= hot-repeat
+SEED ?= 1
+bench-layered:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 12 --trace 0
+
+# perfbench is a separate module (replace repro => ../), so the root
+# `go build ./...` never compiles it although it imports core, tilesearch,
+# service and cluster. This vets and tests it against the current tree.
+bench-layered-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # End-to-end analysisd lifecycle check: start, readiness, one request per
 # endpoint, SIGTERM, clean drain — then the same for the cluster tier

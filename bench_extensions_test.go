@@ -35,7 +35,7 @@ func benchAblation(b *testing.B, opts core.Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pred, err := a0.PredictTotal(env, cache)
+	pred, err := a0.PredictTotalFrameConfig(a0.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cache})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func benchAblation(b *testing.B, opts core.Options) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := a.PredictTotal(env, cache); err != nil {
+		if _, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cache}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -266,7 +266,8 @@ func run(w io.Writer, o options) error {
 	}
 
 	cache := caps[0]
-	rep2, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cache)
+	f := a.SymTab().FrameOf(env)
+	rep2, err := a.PredictMissesFrameConfig(f, core.CacheConfig{CapacityElems: cache})
 	if err != nil {
 		return err
 	}
@@ -301,7 +302,7 @@ func run(w io.Writer, o options) error {
 	}
 	if o.ways > 0 {
 		cfg := core.CacheConfig{CapacityElems: cache, Ways: o.ways, LineElems: o.lineElems}
-		crep, err := a.PredictMissesConfig(env, cfg)
+		crep, err := a.PredictMissesFrameConfig(f, cfg)
 		if err != nil {
 			return err
 		}
@@ -357,7 +358,7 @@ func capacitySweep(w io.Writer, a *core.Analysis, nest *loopir.Nest, env expr.En
 				if i >= len(caps) {
 					return
 				}
-				reps[i], errs[i] = ec.PredictMissesFrame(f, caps[i])
+				reps[i], errs[i] = ec.PredictMissesFrameConfig(f, core.CacheConfig{CapacityElems: caps[i]})
 			}
 		}()
 	}

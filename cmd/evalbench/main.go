@@ -7,8 +7,7 @@
 //   - raw expression evaluation over the tiled-matmul component
 //     expressions: tree walking an Env versus running compiled op-slice
 //     programs against a slot frame,
-//   - the §6 tile search end to end: the legacy Env/tree scoring path
-//     (tilesearch.Options.TreeEval) versus the per-worker frame path.
+//   - the §6 tile search end to end, scored through per-worker frames.
 //
 // Usage:
 //
@@ -60,8 +59,8 @@ type Artifact struct {
 	} `json:"workload"`
 	// ExprEval is raw per-expression evaluation; Search is the full §6
 	// search (fresh caches per op, so per-candidate scoring dominates).
-	ExprEval Section `json:"expr_eval"`
-	Search   Section `json:"search"`
+	ExprEval Section     `json:"expr_eval"`
+	Search   Measurement `json:"search"`
 }
 
 func measure(f func(b *testing.B), evals int64) Measurement {
@@ -153,17 +152,14 @@ func mainE() error {
 	}
 
 	fmt.Fprintln(os.Stderr, "measuring end-to-end tile search ...")
-	run := func(treeEval bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.RunSearch(n, treeEval); err != nil {
-					benchErr = err
-					b.Fatal(err)
-				}
+	a.Search = measure(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := w.RunSearch(n); err != nil {
+				benchErr = err
+				b.Fatal(err)
 			}
 		}
-	}
-	a.Search = section(run(true), run(false), 0)
+	}, 0)
 	if benchErr != nil {
 		return benchErr
 	}
@@ -179,8 +175,7 @@ func mainE() error {
 	fmt.Printf("wrote %s\n", *out)
 	fmt.Printf("  expr eval: %.1f -> %.1f ns/eval (%.2fx, %d exprs/op)\n",
 		a.ExprEval.Tree.NsPerEval, a.ExprEval.Compiled.NsPerEval, a.ExprEval.Speedup, a.Workload.Exprs)
-	fmt.Printf("  search:    %.2f -> %.2f ms (%.2fx)\n",
-		float64(a.Search.Tree.NsPerOp)/1e6, float64(a.Search.Compiled.NsPerOp)/1e6, a.Search.Speedup)
+	fmt.Printf("  search:    %.2f ms\n", float64(a.Search.NsPerOp)/1e6)
 	return nil
 }
 

@@ -81,11 +81,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	uM, err := uA.PredictTotal(env, cacheElems)
+	cfg := core.CacheConfig{CapacityElems: cacheElems}
+	uM, err := uA.PredictTotalFrameConfig(uA.SymTab().FrameOf(env), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fM, err := fA.PredictTotal(env, cacheElems)
+	fM, err := fA.PredictTotalFrameConfig(fA.SymTab().FrameOf(env), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

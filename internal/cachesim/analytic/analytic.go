@@ -52,7 +52,7 @@ func Simulate(a *core.Analysis, env expr.Env, watches []int64) (cachesim.Results
 // core.Analysis.GetFrame); the serving layer uses it to keep the per-
 // request steady state allocation-free up to the result slices.
 func SimulateFrame(a *core.Analysis, f *expr.Frame, watches []int64) (cachesim.Results, Info, error) {
-	return simulateFrame(a, f, watches, a.PredictMissesFrame)
+	return simulateFrame(a, f, watches, 0, 0)
 }
 
 // SimulateAssoc is Simulate for an explicit set-associative geometry: each
@@ -72,12 +72,12 @@ func SimulateFrameAssoc(a *core.Analysis, f *expr.Frame, watches []int64, ways, 
 			return cachesim.Results{}, Info{}, err
 		}
 	}
-	return simulateFrame(a, f, watches, func(f *expr.Frame, cap int64) (*core.MissReport, error) {
-		return a.PredictMissesFrameConfig(f, core.CacheConfig{CapacityElems: cap, Ways: ways, LineElems: lineElems})
-	})
+	return simulateFrame(a, f, watches, ways, lineElems)
 }
 
-func simulateFrame(a *core.Analysis, f *expr.Frame, watches []int64, predict func(*expr.Frame, int64) (*core.MissReport, error)) (cachesim.Results, Info, error) {
+// simulateFrame predicts every watched capacity c under the geometry
+// core.CacheConfig{c, ways, lineElems}.
+func simulateFrame(a *core.Analysis, f *expr.Frame, watches []int64, ways, lineElems int64) (cachesim.Results, Info, error) {
 	sites := a.Nest.Sites()
 	siteIdx := make(map[string]int, len(sites))
 	for i, s := range sites {
@@ -98,7 +98,7 @@ func simulateFrame(a *core.Analysis, f *expr.Frame, watches []int64, predict fun
 		}
 	}
 	for wi, cap := range watches {
-		rep, err := predict(f, cap)
+		rep, err := a.PredictMissesFrameConfig(f, core.CacheConfig{CapacityElems: cap, Ways: ways, LineElems: lineElems})
 		if err != nil {
 			return cachesim.Results{}, info, err
 		}
@@ -123,7 +123,7 @@ func simulateFrame(a *core.Analysis, f *expr.Frame, watches []int64, predict fun
 	if len(watches) == 0 {
 		// No capacities to predict at: still report accesses/compulsory,
 		// which are geometry-independent — use the plain frame path.
-		rep, err := a.PredictMissesFrame(f, 1)
+		rep, err := a.PredictMissesFrameConfig(f, core.CacheConfig{CapacityElems: 1})
 		if err != nil {
 			return cachesim.Results{}, info, err
 		}

@@ -197,11 +197,11 @@ func TestAblationAccuracy(t *testing.T) {
 	res := simulateMisses(t, nest, env, watches)
 	var fullErr, bareErr int64
 	for i, c := range watches {
-		fp, err := full.PredictTotal(env, c)
+		fp, err := totalAt(full, env, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bp, err := bare.PredictTotal(env, c)
+		bp, err := totalAt(bare, env, c)
 		if err != nil {
 			t.Fatal(err)
 		}

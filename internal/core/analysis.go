@@ -14,8 +14,8 @@ import (
 
 // Analysis is the compile-time cache model of a nest: the full component
 // inventory of every reference site. It is env-independent; evaluate it
-// against concrete loop bounds, tile sizes and cache capacities with
-// PredictMisses.
+// against concrete loop bounds, tile sizes and cache geometries with
+// PredictMissesFrameConfig.
 type Analysis struct {
 	Nest       *loopir.Nest
 	Components []*Component
@@ -164,7 +164,7 @@ type ComponentMisses struct {
 	Misses    int64
 }
 
-// MissReport is the result of PredictMisses.
+// MissReport is the result of PredictMissesFrameConfig.
 type MissReport struct {
 	CacheElems int64
 	Accesses   int64
@@ -173,28 +173,85 @@ type MissReport struct {
 	Detail     []ComponentMisses
 }
 
-// PredictMisses evaluates the analysis at concrete loop bounds and tile
-// sizes and predicts the number of misses in a fully-associative LRU cache
-// with the given capacity in elements. A component misses when its stack
-// distance exceeds the capacity; components with position-dependent stack
-// distance (§5.2) contribute the exact number of positions whose distance
-// exceeds it.
-func (a *Analysis) PredictMisses(env expr.Env, cacheElems int64) (*MissReport, error) {
-	if err := a.Nest.ValidateEnv(env); err != nil {
+// PredictMissesFrameConfig evaluates the analysis at the frame's loop bounds
+// and tile sizes and predicts the misses of an LRU cache with the given
+// geometry. A component misses when its stack distance exceeds the
+// capacity; components with position-dependent stack distance (§5.2)
+// contribute the exact number of positions whose distance exceeds it. A
+// set-associative geometry adds the conflict model's self- and
+// cross-interference misses (conflict.go). The frame must stem from
+// a.SymTab(); callers holding an Env bind it with a.SymTab().FrameOf(env).
+func (a *Analysis) PredictMissesFrameConfig(f *expr.Frame, cfg CacheConfig) (*MissReport, error) {
+	return a.report(f, cfg, nil)
+}
+
+// PredictTotalFrameConfig is PredictMissesFrameConfig reduced to the total,
+// without materializing a report.
+func (a *Analysis) PredictTotalFrameConfig(f *expr.Frame, cfg CacheConfig) (int64, error) {
+	return a.predict(f, cfg, nil, nil)
+}
+
+// report runs predict into a fresh MissReport.
+func (a *Analysis) report(f *expr.Frame, cfg CacheConfig, ec *EvalCache) (*MissReport, error) {
+	rep := &MissReport{
+		CacheElems: cfg.CapacityElems,
+		BySite:     map[string]int64{},
+		Detail:     make([]ComponentMisses, 0, len(a.Components)),
+	}
+	total, err := a.predict(f, cfg, ec, rep)
+	if err != nil {
 		return nil, err
 	}
-	rep := &MissReport{CacheElems: cacheElems, BySite: map[string]int64{}}
-	for _, c := range a.Components {
-		cm, err := evalComponent(c, env, cacheElems)
-		if err != nil {
-			return nil, err
-		}
-		rep.Detail = append(rep.Detail, cm)
-		rep.Total += cm.Misses
-		rep.BySite[c.Site.Key()] += cm.Misses
-		rep.Accesses += cm.Count
-	}
+	rep.Total = total
 	return rep, nil
+}
+
+// predict is the one evaluation loop of the model: it evaluates every
+// component's count and stack distance at the frame's bindings — memoized
+// through ec when it is non-nil, directly through the compiled programs
+// otherwise — and classifies them against cfg. When rep is non-nil it also
+// receives the per-component detail, the per-site totals and the access
+// count; the miss total is returned either way.
+func (a *Analysis) predict(f *expr.Frame, cfg CacheConfig, ec *EvalCache, rep *MissReport) (int64, error) {
+	if err := cfg.validatePredict(); err != nil {
+		return 0, err
+	}
+	cfg = cfg.norm()
+	if err := a.ca.validateFrame(f); err != nil {
+		return 0, err
+	}
+	var ce *conflictEval
+	if !cfg.FullyAssociative() {
+		ce = a.ca.newConflictEval(f, cfg)
+	}
+	var total int64
+	for i, c := range a.Components {
+		var v componentValues
+		var err error
+		if ec != nil {
+			v, err = ec.comps[i].valuesFrame(ec, f)
+		} else {
+			v, err = a.ca.comps[i].evalComponentValuesFrame(f)
+		}
+		if err != nil {
+			return 0, err
+		}
+		var cm ComponentMisses
+		if ce != nil {
+			if cm, err = ce.classify(i, c, v, cfg.CapacityElems); err != nil {
+				return 0, err
+			}
+		} else {
+			cm = classifyComponent(c, v, cfg.CapacityElems)
+		}
+		total += cm.Misses
+		if rep != nil {
+			rep.Detail = append(rep.Detail, cm)
+			rep.BySite[c.Site.Key()] += cm.Misses
+			rep.Accesses += cm.Count
+		}
+	}
+	return total, nil
 }
 
 // componentValues are the environment-dependent numbers of one component
@@ -208,49 +265,6 @@ type componentValues struct {
 	SD    int64 // constant stack distance value
 	// Variable stack distance: SD(a) = Base + Slope*a for a in [0, Range).
 	Base, Slope, Range int64
-}
-
-// evalComponentValues evaluates the component's expressions under env.
-func evalComponentValues(c *Component, env expr.Env) (componentValues, error) {
-	var v componentValues
-	count, err := c.Count.Eval(env)
-	if err != nil {
-		return v, err
-	}
-	if count < 0 {
-		count = 0 // e.g. (trip-1) when a loop has a single iteration
-	}
-	v.Count = count
-	if c.SD.Base.IsInf() {
-		v.Inf = true
-		return v, nil
-	}
-	if count == 0 {
-		// No instances: the component contributes nothing at any capacity.
-		// Short-circuit before the SD/range expressions, which may be
-		// degenerate (e.g. a zero free range) in the same boundary regimes
-		// that zero the count.
-		v.Const = true
-		return v, nil
-	}
-	if c.SD.IsConst() {
-		v.Const = true
-		v.SD, err = c.SD.Base.Eval(env)
-		return v, err
-	}
-	if v.Base, err = c.SD.Base.Eval(env); err != nil {
-		return v, err
-	}
-	if v.Slope, err = c.SD.Slope.Eval(env); err != nil {
-		return v, err
-	}
-	if v.Range, err = c.FreeRange.Eval(env); err != nil {
-		return v, err
-	}
-	if v.Range <= 0 {
-		return v, fmt.Errorf("core: non-positive free range for %s", c.Site.Key())
-	}
-	return v, nil
 }
 
 // classifyComponent compares evaluated component values against a cache
@@ -302,36 +316,20 @@ func classifyComponent(c *Component, v componentValues, cache int64) ComponentMi
 	return cm
 }
 
-func evalComponent(c *Component, env expr.Env, cache int64) (ComponentMisses, error) {
-	v, err := evalComponentValues(c, env)
-	if err != nil {
-		return ComponentMisses{Component: c, Count: v.Count}, err
-	}
-	return classifyComponent(c, v, cache), nil
-}
-
-// MissCurve evaluates the predicted miss count at each capacity, reusing
-// one pass of component evaluation per capacity. The curve is the model's
-// counterpart of the simulator's success function.
+// MissCurve evaluates the predicted fully-associative miss count at each
+// capacity: one frame for the binding, one total per capacity. The curve is
+// the model's counterpart of the simulator's success function.
 func (a *Analysis) MissCurve(env expr.Env, capacities []int64) ([]int64, error) {
+	f := a.ca.tab.FrameOf(env)
 	out := make([]int64, len(capacities))
 	for i, c := range capacities {
-		total, err := a.PredictTotal(env, c)
+		total, err := a.PredictTotalFrameConfig(f, CacheConfig{CapacityElems: c})
 		if err != nil {
 			return nil, err
 		}
 		out[i] = total
 	}
 	return out, nil
-}
-
-// PredictTotal is a convenience wrapper returning only the total.
-func (a *Analysis) PredictTotal(env expr.Env, cacheElems int64) (int64, error) {
-	rep, err := a.PredictMisses(env, cacheElems)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Total, nil
 }
 
 // StackDistances returns every distinct symbolic stack-distance expression

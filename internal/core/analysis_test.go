@@ -144,7 +144,7 @@ func TestMatmulPredictionVsSimulation(t *testing.T) {
 	watches := []int64{2, 3, 10, 43, 100, 461, 2000}
 	res := simulateMisses(t, nest, env, watches)
 	for i, c := range watches {
-		pred, err := a.PredictTotal(env, c)
+		pred, err := totalAt(a, env, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestMatmulPredictionVsSimulation(t *testing.T) {
 		}
 	}
 	// Compulsory misses must be exact: 3 arrays of N^2 elements.
-	predInf, _ := a.PredictTotal(env, 1<<40)
+	predInf, _ := totalAt(a, env, 1<<40)
 	if predInf != 3*N*N {
 		t.Errorf("compulsory misses %d want %d", predInf, 3*N*N)
 	}
@@ -266,7 +266,7 @@ func TestImperfectPredictionVsSimulation(t *testing.T) {
 	watches := []int64{1, 2, 3, 5, 2*N + 3, 100, 10000}
 	res := simulateMisses(t, nest, env, watches)
 	for i, c := range watches {
-		pred, err := a.PredictTotal(env, c)
+		pred, err := totalAt(a, env, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func TestTiledMatmulPredictionVsSimulation(t *testing.T) {
 	watches := []int64{3, 24, 60, 150, 400, 1200, 5000}
 	res := simulateMisses(t, nest, env, watches)
 	for i, c := range watches {
-		pred, err := a.PredictTotal(env, c)
+		pred, err := totalAt(a, env, c)
 		if err != nil {
 			t.Fatal(err)
 		}

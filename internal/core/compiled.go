@@ -9,10 +9,9 @@ import (
 // The compiled layer of an Analysis: every environment-dependent expression
 // the miss estimator evaluates — loop trips, array extents, and each
 // component's Count/SD/FreeRange — flattened once into expr.Programs over a
-// single analysis-wide SymTab. PredictMissesFrame then runs the whole
-// prediction through a Frame without allocating an Env map or walking a
-// tree, which is what makes per-candidate evaluation in the tile search
-// cheap enough for the ROADMAP's "millions of evaluations" target.
+// single analysis-wide SymTab. Every prediction then runs through a Frame
+// (Analysis.predict) without allocating an Env map or walking a tree, which
+// is what makes per-candidate evaluation in the tile search cheap.
 //
 // Slot assignment is deterministic: nest symbols first (sorted, as
 // SymbolNames returns them), then any remaining symbols in the order the
@@ -183,8 +182,10 @@ func (ca *compiledAnalysis) validateFrame(f *expr.Frame) error {
 	return nil
 }
 
-// evalComponentValuesFrame is evalComponentValues through the compiled
-// programs: identical values, identical errors, no Env map.
+// evalComponentValuesFrame evaluates the component's expressions through
+// the compiled programs. The tests keep a tree-walking twin over an Env
+// (export_test.go) as the differential oracle: identical values, identical
+// errors.
 func (cc *compiledComponent) evalComponentValuesFrame(f *expr.Frame) (componentValues, error) {
 	var v componentValues
 	count, err := cc.count.Eval(f)
@@ -200,8 +201,10 @@ func (cc *compiledComponent) evalComponentValuesFrame(f *expr.Frame) (componentV
 		return v, nil
 	}
 	if count == 0 {
-		// Mirror evalComponentValues: a zero-instance component is constant
-		// zero regardless of its (possibly degenerate) SD expressions.
+		// No instances: the component contributes nothing at any capacity.
+		// Short-circuit before the SD/range expressions, which may be
+		// degenerate (e.g. a zero free range) in the same boundary regimes
+		// that zero the count.
 		v.Const = true
 		return v, nil
 	}
@@ -223,35 +226,4 @@ func (cc *compiledComponent) evalComponentValuesFrame(f *expr.Frame) (componentV
 		return v, fmt.Errorf("core: non-positive free range for %s", cc.site)
 	}
 	return v, nil
-}
-
-// PredictMissesFrame is PredictMisses evaluated through the compiled layer:
-// byte-identical reports, no Env map, no tree walks. The frame must stem
-// from a.SymTab() and carry the same bindings an Env would.
-func (a *Analysis) PredictMissesFrame(f *expr.Frame, cacheElems int64) (*MissReport, error) {
-	if err := a.ca.validateFrame(f); err != nil {
-		return nil, err
-	}
-	rep := &MissReport{CacheElems: cacheElems, BySite: map[string]int64{}}
-	for i, c := range a.Components {
-		v, err := a.ca.comps[i].evalComponentValuesFrame(f)
-		if err != nil {
-			return nil, err
-		}
-		cm := classifyComponent(c, v, cacheElems)
-		rep.Detail = append(rep.Detail, cm)
-		rep.Total += cm.Misses
-		rep.BySite[c.Site.Key()] += cm.Misses
-		rep.Accesses += cm.Count
-	}
-	return rep, nil
-}
-
-// PredictTotalFrame is PredictMissesFrame returning only the total.
-func (a *Analysis) PredictTotalFrame(f *expr.Frame, cacheElems int64) (int64, error) {
-	rep, err := a.PredictMissesFrame(f, cacheElems)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Total, nil
 }

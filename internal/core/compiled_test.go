@@ -7,10 +7,10 @@ import (
 	"repro/internal/kernels"
 )
 
-// The frame path must be a byte-identical re-expression of the env path:
-// same reports from Analysis.PredictMissesFrame and EvalCache's frame
-// lookups as from the tree-walking originals, at every environment and
-// capacity, including the error cases.
+// The compiled frame path must be a byte-identical re-expression of the
+// tree-walking oracle: same reports from Analysis.PredictMissesFrameConfig
+// and from EvalCache's memoized lookups as from TreePredict, at every
+// environment and capacity.
 func TestPredictMissesFrameMatchesEnv(t *testing.T) {
 	a := cachedMatmul(t)
 	f := a.NewFrame()
@@ -20,11 +20,12 @@ func TestPredictMissesFrameMatchesEnv(t *testing.T) {
 			f.Reset()
 			f.Bind(env)
 			for _, cache := range []int64{64, 512, 4096} {
-				want, err := a.PredictMisses(env, cache)
+				cfg := CacheConfig{CapacityElems: cache}
+				want, err := a.TreePredict(env, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := a.PredictMissesFrame(f, cache)
+				got, err := a.PredictMissesFrameConfig(f, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -36,39 +37,34 @@ func TestPredictMissesFrameMatchesEnv(t *testing.T) {
 
 func TestEvalCacheFrameMatchesEnv(t *testing.T) {
 	a := cachedMatmul(t)
-	ecEnv := NewEvalCache(a)
-	ecFrame := NewEvalCache(a)
+	ec := NewEvalCache(a)
 	f := a.NewFrame()
-	for _, tile := range []int64{4, 8, 12} {
-		env := expr.Env{"N": 64, "TI": tile, "TJ": tile, "TK": tile}
-		f.Reset()
-		f.Bind(env)
-		for _, cache := range []int64{128, 1024} {
-			want, err := ecEnv.PredictMisses(env, cache)
-			if err != nil {
-				t.Fatal(err)
+	sweep := func() {
+		for _, tile := range []int64{4, 8, 12} {
+			env := expr.Env{"N": 64, "TI": tile, "TJ": tile, "TK": tile}
+			f.Reset()
+			f.Bind(env)
+			for _, cache := range []int64{128, 1024} {
+				cfg := CacheConfig{CapacityElems: cache}
+				want, err := a.TreePredict(env, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ec.PredictMissesFrameConfig(f, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffReports(t, got, want)
 			}
-			got, err := ecFrame.PredictMissesFrame(f, cache)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffReports(t, got, want)
 		}
 	}
-	// Both paths must memoize identically: same lookup/computed counts for
-	// the same query pattern, whichever representation carried the bindings.
-	if ecEnv.Stats() != ecFrame.Stats() {
-		t.Fatalf("cache stats diverge: env %+v vs frame %+v", ecEnv.Stats(), ecFrame.Stats())
-	}
-	// And the key encodings must be interchangeable: an env-path lookup
-	// after a frame-path fill is all hits.
-	pre := ecFrame.Stats()
-	if _, err := ecFrame.PredictMisses(expr.Env{"N": 64, "TI": 4, "TJ": 4, "TK": 4}, 128); err != nil {
-		t.Fatal(err)
-	}
-	post := ecFrame.Stats()
-	if post.Computed != pre.Computed {
-		t.Fatalf("env lookup recomputed %d entries already cached by the frame path", post.Computed-pre.Computed)
+	sweep()
+	// Replaying the same bindings must be served entirely from the cache
+	// and still match the oracle.
+	pre := ec.Stats()
+	sweep()
+	if post := ec.Stats(); post.Computed != pre.Computed {
+		t.Fatalf("replay recomputed %d entries already cached", post.Computed-pre.Computed)
 	}
 }
 
@@ -107,7 +103,7 @@ func TestValidateFrameErrorsMatchEnv(t *testing.T) {
 	for _, env := range cases {
 		wantErr := a.Nest.ValidateEnv(env)
 		f := a.SymTab().FrameOf(env)
-		_, gotErr := a.PredictMissesFrame(f, 1024)
+		_, gotErr := a.PredictMissesFrameConfig(f, CacheConfig{CapacityElems: 1024})
 		switch {
 		case wantErr == nil && gotErr == nil:
 		case wantErr == nil || gotErr == nil:

@@ -64,8 +64,8 @@ func TestCacheConfigSets(t *testing.T) {
 }
 
 // A fully-associative CacheConfig — whether by the zero-Ways default or by a
-// geometry that degenerates to one set — must reproduce the cacheElems paths
-// byte for byte.
+// geometry that degenerates to one set — must reproduce the plain capacity
+// prediction byte for byte, on the compiled path and in the oracle.
 func TestPredictMissesConfigFullyAssociativeIdentity(t *testing.T) {
 	a := cachedMatmul(t)
 	f := a.NewFrame()
@@ -74,17 +74,16 @@ func TestPredictMissesConfigFullyAssociativeIdentity(t *testing.T) {
 		f.Reset()
 		f.Bind(env)
 		for _, cache := range []int64{64, 512, 4096} {
-			want, err := a.PredictMisses(env, cache)
+			want, err := a.PredictMissesFrameConfig(f, CacheConfig{CapacityElems: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, cfg := range []CacheConfig{
-				{CapacityElems: cache},                                // zero ways
 				{CapacityElems: cache, LineElems: 8},                  // zero ways, explicit line
 				{CapacityElems: cache, Ways: cache},                   // one set
 				{CapacityElems: cache, Ways: cache / 8, LineElems: 8}, // one set, lines
 			} {
-				got, err := a.PredictMissesConfig(env, cfg)
+				got, err := a.TreePredict(env, cfg)
 				if err != nil {
 					t.Fatalf("config %+v: %v", cfg, err)
 				}
@@ -99,8 +98,9 @@ func TestPredictMissesConfigFullyAssociativeIdentity(t *testing.T) {
 	}
 }
 
-// The EvalCache config path must be a pure memoization of the Analysis
-// config path, and the total-only variant must agree with the full report.
+// The EvalCache path must be a pure memoization of the Analysis path, both
+// must match the tree-walking oracle, and the total-only variants must agree
+// with the full report.
 func TestPredictMissesConfigEvalCacheParity(t *testing.T) {
 	a := cachedMatmul(t)
 	ec := NewEvalCache(a)
@@ -115,21 +115,31 @@ func TestPredictMissesConfigEvalCacheParity(t *testing.T) {
 			{CapacityElems: 4096, Ways: 2, LineElems: 8},
 			{CapacityElems: 4096}, // fully associative through the cache too
 		} {
-			want, err := a.PredictMissesConfig(env, cfg)
+			want, err := a.TreePredict(env, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			direct, err := a.PredictMissesFrameConfig(f, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffReports(t, direct, want)
 			got, err := ec.PredictMissesFrameConfig(f, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			diffReports(t, got, want)
-			total, err := ec.PredictTotalFrameConfig(f, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if total != want.Total {
-				t.Errorf("cfg %+v: PredictTotalFrameConfig = %d, want %d", cfg, total, want.Total)
+			for name, total := range map[string]func(*expr.Frame, CacheConfig) (int64, error){
+				"Analysis":  a.PredictTotalFrameConfig,
+				"EvalCache": ec.PredictTotalFrameConfig,
+			} {
+				got, err := total(f, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want.Total {
+					t.Errorf("cfg %+v: %s.PredictTotalFrameConfig = %d, want %d", cfg, name, got, want.Total)
+				}
 			}
 		}
 	}
@@ -141,16 +151,17 @@ func TestPredictMissesConfigEvalCacheParity(t *testing.T) {
 func TestPredictMissesConfigSmallFootprintMatchesFA(t *testing.T) {
 	a := cachedMatmul(t)
 	env := expr.Env{"N": 16, "TI": 4, "TJ": 4, "TK": 4} // footprint 3·256 = 768
+	f := a.SymTab().FrameOf(env)
 	for _, cfg := range []CacheConfig{
 		{CapacityElems: 2048, Ways: 2}, // S·L = 1024 ≥ 768
 		{CapacityElems: 4096, Ways: 4}, // S·L = 1024 ≥ 768
 		{CapacityElems: 8192, Ways: 1}, // S·L = 8192 ≥ 768
 	} {
-		want, err := a.PredictMisses(env, cfg.CapacityElems)
+		want, err := a.PredictMissesFrameConfig(f, CacheConfig{CapacityElems: cfg.CapacityElems})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := a.PredictMissesConfig(env, cfg)
+		got, err := a.PredictMissesFrameConfig(f, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,12 +175,12 @@ func TestPredictMissesConfigSmallFootprintMatchesFA(t *testing.T) {
 // model at a capacity that comfortably holds the fully-associative span.
 func TestPredictMissesConfigResonance(t *testing.T) {
 	a := cachedMatmul(t)
-	env := expr.Env{"N": 64, "TI": 8, "TJ": 8, "TK": 8}
-	fa, err := a.PredictTotal(env, 1024)
+	f := a.SymTab().FrameOf(expr.Env{"N": 64, "TI": 8, "TJ": 8, "TK": 8})
+	fa, err := a.PredictTotalFrameConfig(f, CacheConfig{CapacityElems: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm, err := a.PredictTotalConfig(env, CacheConfig{CapacityElems: 1024, Ways: 1})
+	dm, err := a.PredictTotalFrameConfig(f, CacheConfig{CapacityElems: 1024, Ways: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,23 +189,57 @@ func TestPredictMissesConfigResonance(t *testing.T) {
 	}
 }
 
+// Every prediction call must reject a geometry Validate rejects, with
+// Validate's message: the report and the total forms, on the Analysis and
+// through the EvalCache. Only a fully-associative one-element-line config
+// is exempt (it accepts any capacity).
 func TestPredictMissesConfigInvalidGeometry(t *testing.T) {
 	a := cachedMatmul(t)
-	env := expr.Env{"N": 32, "TI": 4, "TJ": 4, "TK": 4}
-	f := a.NewFrame()
-	f.Bind(env)
+	f := a.SymTab().FrameOf(expr.Env{"N": 64, "TI": 8, "TJ": 8, "TK": 8})
 	ec := NewEvalCache(a)
-	bad := CacheConfig{CapacityElems: 64, Ways: 3}
-	if _, err := a.PredictMissesConfig(env, bad); err == nil {
-		t.Error("PredictMissesConfig accepted invalid geometry")
+	calls := map[string]func(CacheConfig) error{
+		"Analysis report": func(cfg CacheConfig) error {
+			_, err := a.PredictMissesFrameConfig(f, cfg)
+			return err
+		},
+		"Analysis total": func(cfg CacheConfig) error {
+			_, err := a.PredictTotalFrameConfig(f, cfg)
+			return err
+		},
+		"EvalCache report": func(cfg CacheConfig) error {
+			_, err := ec.PredictMissesFrameConfig(f, cfg)
+			return err
+		},
+		"EvalCache total": func(cfg CacheConfig) error {
+			_, err := ec.PredictTotalFrameConfig(f, cfg)
+			return err
+		},
 	}
-	if _, err := a.PredictMissesFrameConfig(f, bad); err == nil {
-		t.Error("PredictMissesFrameConfig accepted invalid geometry")
+	for _, cfg := range []CacheConfig{
+		{CapacityElems: 512, Ways: -1},
+		{CapacityElems: 0, Ways: 2},
+		{CapacityElems: 512, Ways: 3},
+		{CapacityElems: 512, Ways: 2, LineElems: 3},
+		{CapacityElems: 64, Ways: 3},
+		{CapacityElems: 512, LineElems: 3},
+	} {
+		verr := cfg.Validate()
+		if verr == nil {
+			t.Fatalf("config %+v: Validate accepts it; the table needs invalid geometries", cfg)
+		}
+		for name, call := range calls {
+			err := call(cfg)
+			if err == nil || !strings.Contains(err.Error(), verr.Error()) {
+				t.Errorf("%s %+v: err = %v, want %q", name, cfg, err, verr)
+			}
+		}
 	}
-	if _, err := a.PredictTotalConfig(env, bad); err == nil {
-		t.Error("PredictTotalConfig accepted invalid geometry")
-	}
-	if _, err := ec.PredictMissesFrameConfig(f, bad); err == nil {
-		t.Error("EvalCache.PredictMissesFrameConfig accepted invalid geometry")
+	// The exempt config: any capacity, zero or below included.
+	for _, c := range []int64{0, -1} {
+		for name, call := range calls {
+			if err := call(CacheConfig{CapacityElems: c}); err != nil {
+				t.Errorf("%s capacity %d: %v", name, c, err)
+			}
+		}
 	}
 }

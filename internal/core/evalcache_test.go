@@ -22,20 +22,27 @@ func cachedMatmul(t *testing.T) *Analysis {
 }
 
 // TestEvalCacheMatchesDirect: the cache must be a pure memoization —
-// identical reports to Analysis.PredictMisses at every environment and
-// capacity.
+// identical reports to the uncached Analysis path and to the tree-walking
+// oracle at every environment and capacity.
 func TestEvalCacheMatchesDirect(t *testing.T) {
 	a := cachedMatmul(t)
 	ec := NewEvalCache(a)
 	for _, n := range []int64{32, 64} {
 		for _, tile := range []int64{4, 8, 16} {
 			env := expr.Env{"N": n, "TI": tile, "TJ": tile, "TK": tile}
+			f := a.SymTab().FrameOf(env)
 			for _, cache := range []int64{64, 512, 4096} {
-				want, err := a.PredictMisses(env, cache)
+				cfg := CacheConfig{CapacityElems: cache}
+				want, err := a.TreePredict(env, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ec.PredictMisses(env, cache)
+				direct, err := a.PredictMissesFrameConfig(f, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffReports(t, direct, want)
+				got, err := ec.PredictMissesFrameConfig(f, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,7 +77,7 @@ func TestEvalCacheHitsOnIrrelevantChanges(t *testing.T) {
 	a := cachedMatmul(t)
 	ec := NewEvalCache(a)
 	env := expr.Env{"N": 64, "TI": 8, "TJ": 8, "TK": 8}
-	if _, err := ec.PredictTotal(env, 512); err != nil {
+	if _, err := cachedTotalAt(ec, env, 512); err != nil {
 		t.Fatal(err)
 	}
 	afterFirst := ec.Stats()
@@ -79,7 +86,7 @@ func TestEvalCacheHitsOnIrrelevantChanges(t *testing.T) {
 			afterFirst.Computed, len(a.Components))
 	}
 	// Identical environment: all hits.
-	if _, err := ec.PredictTotal(env, 512); err != nil {
+	if _, err := cachedTotalAt(ec, env, 512); err != nil {
 		t.Fatal(err)
 	}
 	if s := ec.Stats(); s.Computed != afterFirst.Computed {
@@ -88,7 +95,7 @@ func TestEvalCacheHitsOnIrrelevantChanges(t *testing.T) {
 	// Different capacities, same environment: entries store the capacity-
 	// independent component values, so a capacity sweep computes nothing new.
 	for _, capacity := range []int64{8, 64, 4096} {
-		if _, err := ec.PredictTotal(env, capacity); err != nil {
+		if _, err := cachedTotalAt(ec, env, capacity); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,15 +105,16 @@ func TestEvalCacheHitsOnIrrelevantChanges(t *testing.T) {
 	// Vary one tile: only components mentioning TI may recompute.
 	env2 := env.Clone()
 	env2["TI"] = 16
-	if _, err := ec.PredictTotal(env2, 512); err != nil {
+	if _, err := cachedTotalAt(ec, env2, 512); err != nil {
 		t.Fatal(err)
 	}
 	s := ec.Stats()
 	recomputed := s.Computed - afterFirst.Computed
 	var mentionTI int64
+	ti, _ := a.SymTab().Lookup("TI")
 	for i := range ec.comps {
-		for _, v := range ec.comps[i].vars {
-			if v == "TI" {
+		for _, slot := range ec.comps[i].slots {
+			if slot == ti {
 				mentionTI++
 				break
 			}
@@ -138,7 +146,7 @@ func TestEvalCacheConcurrent(t *testing.T) {
 	want := make([]int64, len(envs))
 	for i, env := range envs {
 		var err error
-		want[i], err = a.PredictTotal(env, 512)
+		want[i], err = totalAt(a, env, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +158,7 @@ func TestEvalCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				for i, env := range envs {
-					got, err := ec.PredictTotal(env, 512)
+					got, err := cachedTotalAt(ec, env, 512)
 					if err != nil {
 						t.Error(err)
 						return
@@ -169,7 +177,7 @@ func TestEvalCacheConcurrent(t *testing.T) {
 	// interleaving: 4 envs differing in one tile each.
 	direct := NewEvalCache(a)
 	for _, env := range envs {
-		if _, err := direct.PredictTotal(env, 512); err != nil {
+		if _, err := cachedTotalAt(direct, env, 512); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,16 +192,16 @@ func TestEvalCacheConcurrent(t *testing.T) {
 func TestEvalCacheErrorPropagation(t *testing.T) {
 	a := cachedMatmul(t)
 	ec := NewEvalCache(a)
-	if _, err := ec.PredictMisses(expr.Env{"N": 64}, 512); err == nil {
+	if _, err := ec.PredictMissesFrameConfig(a.SymTab().FrameOf(expr.Env{"N": 64}), CacheConfig{CapacityElems: 512}); err == nil {
 		t.Fatal("missing tile bindings accepted")
 	}
 	// A good environment after the failure still works.
 	env := expr.Env{"N": 64, "TI": 8, "TJ": 8, "TK": 8}
-	want, err := a.PredictTotal(env, 512)
+	want, err := totalAt(a, env, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ec.PredictTotal(env, 512)
+	got, err := cachedTotalAt(ec, env, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // TestFramePool: pooled frames come back reset, and a prediction through a
-// pooled frame matches the Env path exactly.
+// pooled frame matches a fresh frame bound to the same Env exactly.
 func TestFramePool(t *testing.T) {
 	nest, err := kernels.TiledMatmul()
 	if err != nil {
@@ -21,14 +21,14 @@ func TestFramePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := a.PredictTotal(env, 512)
+	want, err := totalAt(a, env, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	f := a.GetFrame()
 	f.Bind(env)
-	got, err := a.PredictTotalFrame(f, 512)
+	got, err := a.PredictTotalFrameConfig(f, CacheConfig{CapacityElems: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestFramePool(t *testing.T) {
 			t.Errorf("recycled frame still binds %s=%d", name, v)
 		}
 	}
-	if _, err := a.PredictTotalFrame(f2, 512); err == nil {
+	if _, err := a.PredictTotalFrameConfig(f2, CacheConfig{CapacityElems: 512}); err == nil {
 		t.Error("empty pooled frame validated, want missing-symbol error")
 	}
 

@@ -36,18 +36,19 @@ func (a *Analysis) PredictHierarchy(env expr.Env, capL1, capL2 int64) (*Hierarch
 	if capL1 <= 0 || capL2 < capL1 {
 		return nil, fmt.Errorf("core: invalid hierarchy capacities %d/%d", capL1, capL2)
 	}
-	rep1, err := a.PredictMisses(env, capL1)
+	f := a.ca.tab.FrameOf(env)
+	rep1, err := a.PredictMissesFrameConfig(f, CacheConfig{CapacityElems: capL1})
 	if err != nil {
 		return nil, err
 	}
-	rep2, err := a.PredictMisses(env, capL2)
+	mem, err := a.PredictTotalFrameConfig(f, CacheConfig{CapacityElems: capL2})
 	if err != nil {
 		return nil, err
 	}
 	return &HierarchyReport{
 		Accesses:    rep1.Accesses,
 		L1Hits:      rep1.Accesses - rep1.Total,
-		L2Hits:      rep1.Total - rep2.Total,
-		MemAccesses: rep2.Total,
+		L2Hits:      rep1.Total - mem,
+		MemAccesses: mem,
 	}, nil
 }

@@ -43,7 +43,7 @@ func TestReportToJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := expr.Env{"N": 12}
-	rep, err := a.PredictMisses(env, 16)
+	rep, err := missesAt(a, env, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

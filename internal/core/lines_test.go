@@ -70,7 +70,7 @@ func TestPredictLineMissesDegeneratesToElementModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	elemTotal, err := a.PredictTotal(env, capacity)
+	elemTotal, err := totalAt(a, env, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}

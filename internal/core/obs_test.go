@@ -98,7 +98,7 @@ func TestEvalCacheMetricsInvariant(t *testing.T) {
 	}
 	for _, env := range envs {
 		for _, cache := range []int64{256, 512, 1024} {
-			if _, err := ec.PredictMisses(env, cache); err != nil {
+			if _, err := ec.PredictMissesFrameConfig(a.SymTab().FrameOf(env), CacheConfig{CapacityElems: cache}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -147,7 +147,7 @@ func TestEvalCacheMetricsConcurrent(t *testing.T) {
 				for rep := 0; rep < 8; rep++ {
 					for _, tk := range []int64{4, 8, 16, 32} {
 						env := expr.Env{"N": 64, "TI": 8, "TJ": 8, "TK": tk}
-						if _, err := ec.PredictMisses(env, 512); err != nil {
+						if _, err := ec.PredictMissesFrameConfig(a.SymTab().FrameOf(env), CacheConfig{CapacityElems: 512}); err != nil {
 							t.Error(err)
 							return
 						}

@@ -90,7 +90,7 @@ func TestQuickImperfectNestsPredictVsSim(t *testing.T) {
 		res := sim.Results()
 
 		// Compulsory misses must be exact.
-		predInf, err := a.PredictTotal(env, 1<<40)
+		predInf, err := totalAt(a, env, 1<<40)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestQuickImperfectNestsPredictVsSim(t *testing.T) {
 		total := res.Accesses
 		slack := total/3 + 30
 		for i, cap := range watches {
-			pred, err := a.PredictTotal(env, cap)
+			pred, err := totalAt(a, env, cap)
 			if err != nil {
 				t.Fatal(err)
 			}

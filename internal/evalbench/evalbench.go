@@ -11,8 +11,7 @@
 //     matmul analysis (counts, stack-distance bases and slopes, free
 //     ranges), evaluated by tree walking an Env versus running the
 //     compiled op-slice programs against a slot frame;
-//   - the §6 tile search end to end, scored through the legacy Env path
-//     (tilesearch.Options.TreeEval) versus the per-worker frame path.
+//   - the §6 tile search end to end, scored through per-worker frames.
 package evalbench
 
 import (
@@ -104,9 +103,9 @@ func (w *Workload) EvalCompiled() (int64, error) {
 	return sum, nil
 }
 
-// SearchOptions is the tile-search configuration both end-to-end paths
-// run: the same matmul n=64 search the tilesearch tests and goldens pin.
-func SearchOptions(n int64, treeEval bool) tilesearch.Options {
+// SearchOptions is the end-to-end tile-search configuration: the same
+// matmul n=64 search the tilesearch tests and goldens pin.
+func SearchOptions(n int64) tilesearch.Options {
 	return tilesearch.Options{
 		Dims: []tilesearch.Dim{
 			{Symbol: "TI", Max: n}, {Symbol: "TJ", Max: n}, {Symbol: "TK", Max: n},
@@ -114,13 +113,11 @@ func SearchOptions(n int64, treeEval bool) tilesearch.Options {
 		CacheElems: experiments.KB(16),
 		BaseEnv:    expr.Env{"N": n},
 		DivisorOf:  n,
-		TreeEval:   treeEval,
 	}
 }
 
-// RunSearch runs the end-to-end search through the chosen scoring path.
-// Each call builds a fresh evaluator and caches, so repeated calls measure
-// the full per-search cost.
-func (w *Workload) RunSearch(n int64, treeEval bool) (*tilesearch.Result, error) {
-	return tilesearch.Search(w.A, SearchOptions(n, treeEval))
+// RunSearch runs the end-to-end search. Each call builds a fresh evaluator
+// and caches, so repeated calls measure the full per-search cost.
+func (w *Workload) RunSearch(n int64) (*tilesearch.Result, error) {
+	return tilesearch.Search(w.A, SearchOptions(n))
 }

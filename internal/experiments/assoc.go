@@ -21,7 +21,7 @@ type AssocPoint struct {
 	Accesses  int64
 	// Predicted is the analytic model's miss count for this organization:
 	// the paper's fully-associative model on the ways-0 row, the
-	// conflict-aware model (core.PredictMissesConfig) on every other.
+	// conflict-aware model (core.Analysis.PredictTotalFrameConfig) on every other.
 	Predicted int64
 }
 
@@ -64,14 +64,15 @@ func RunAssocSensitivity(kind string, n int64, tiles []int64, cacheKB int64, way
 	if err != nil {
 		return nil, err
 	}
-	faRep, err := a.PredictMisses(env, capacity)
+	f := a.SymTab().FrameOf(env)
+	faTotal, err := a.PredictTotalFrameConfig(f, core.CacheConfig{CapacityElems: capacity})
 	if err != nil {
 		return nil, err
 	}
-	out := []AssocPoint{{Ways: 0, LineElems: 1, Misses: m, Accesses: res.Accesses, Predicted: faRep.Total}}
+	out := []AssocPoint{{Ways: 0, LineElems: 1, Misses: m, Accesses: res.Accesses, Predicted: faTotal}}
 	for i, w := range ways {
 		cfg := core.CacheConfig{CapacityElems: capacity, Ways: int64(w), LineElems: lineElems}
-		crep, err := a.PredictMissesConfig(env, cfg)
+		predicted, err := a.PredictTotalFrameConfig(f, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +81,7 @@ func RunAssocSensitivity(kind string, n int64, tiles []int64, cacheKB int64, way
 			LineElems: lineElems,
 			Misses:    assoc[i].Misses(),
 			Accesses:  assoc[i].Accesses(),
-			Predicted: crep.Total,
+			Predicted: predicted,
 		})
 	}
 	return out, nil

@@ -219,7 +219,7 @@ func RunTable3(simulate bool) ([]MissRow, error) {
 
 func missRow(a *core.Analysis, env expr.Env, cacheElems int64, simulate bool) (MissRow, error) {
 	row := MissRow{Simulated: -1}
-	pred, err := a.PredictTotal(env, cacheElems)
+	pred, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cacheElems})
 	if err != nil {
 		return row, err
 	}

@@ -47,7 +47,7 @@ func RunLoopOrder(n int64, cacheElems int64, simulate bool) ([]LoopOrderPoint, e
 			Order:     fmt.Sprintf("%s-%s-%s", ord[0], ord[1], ord[2]),
 			Simulated: -1,
 		}
-		pt.Predicted, err = a.PredictTotalFrame(a.SymTab().FrameOf(env), cacheElems)
+		pt.Predicted, err = a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cacheElems})
 		if err != nil {
 			return nil, err
 		}

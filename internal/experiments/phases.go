@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/expr"
 )
 
@@ -36,7 +37,7 @@ func RunPhaseCurve(n int64, cacheElems int64) ([]PhasePoint, error) {
 		for _, s := range slots {
 			f.Set(s, t)
 		}
-		m, err := a.PredictTotalFrame(f, cacheElems)
+		m, err := a.PredictTotalFrameConfig(f, core.CacheConfig{CapacityElems: cacheElems})
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cachesim"
+	"repro/internal/core"
 	"repro/internal/expr"
 
 	"repro/internal/trace"
@@ -63,7 +64,7 @@ func TestPhaseCurveMatchesSimulation(t *testing.T) {
 	var pts []pt
 	for _, tile := range []int64{2, 4, 8, 16, 24, 48} {
 		env := expr.Env{"N": n, "TI": tile, "TJ": tile, "TK": tile}
-		pred, err := a.PredictTotal(env, cache)
+		pred, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cache})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -158,8 +158,9 @@ func (f *Frame) Bind(env Env) {
 	}
 }
 
-// FrameOf builds a fresh frame bound to env: the Env→Frame adapter used by
-// the compatibility entry points.
+// FrameOf builds a fresh frame bound to env: the Env→Frame adapter for
+// callers that hold an Env. Bind once per binding, then evaluate (or
+// predict) on the frame as often as needed.
 func (t *SymTab) FrameOf(env Env) *Frame {
 	f := t.NewFrame()
 	f.Bind(env)

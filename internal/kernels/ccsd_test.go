@@ -72,12 +72,12 @@ func TestCCSDModelVsSimulation(t *testing.T) {
 	p.Run(sim.Access)
 	res := sim.Results()
 
-	predInf, _ := a.PredictTotal(env, 1<<40)
+	predInf, _ := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: 1 << 40})
 	if predInf != res.Distinct {
 		t.Errorf("compulsory %d vs distinct %d", predInf, res.Distinct)
 	}
 	for i, c := range watches {
-		pred, err := a.PredictTotal(env, c)
+		pred, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: c})
 		if err != nil {
 			t.Fatal(err)
 		}

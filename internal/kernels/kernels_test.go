@@ -100,7 +100,7 @@ func TestTwoIndexModelVsSimulation(t *testing.T) {
 	p.Run(sim.Access)
 	res := sim.Results()
 	for i, c := range watches {
-		pred, err := a.PredictTotal(env, c)
+		pred, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestTwoIndexModelVsSimulation(t *testing.T) {
 		}
 	}
 	// Compulsory misses: 4 N×N arrays + the TI×TN buffer.
-	predInf, _ := a.PredictTotal(env, 1<<40)
+	predInf, _ := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: 1 << 40})
 	wantInf := int64(4*N*N + 8*4)
 	if predInf != wantInf {
 		t.Errorf("compulsory %d want %d", predInf, wantInf)

@@ -59,7 +59,7 @@ func TestGeneratedNestsModelAccuracy(t *testing.T) {
 			p.Run(sim.Access)
 			res := sim.Results()
 
-			predInf, err := a.PredictTotal(env, 1<<40)
+			predInf, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: 1 << 40})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestGeneratedNestsModelAccuracy(t *testing.T) {
 			}
 			slack := res.Accesses/3 + 30
 			for wi, c := range watches {
-				pred, err := a.PredictTotal(env, c)
+				pred, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: c})
 				if err != nil {
 					t.Fatal(err)
 				}

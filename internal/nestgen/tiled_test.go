@@ -34,7 +34,7 @@ func TestGeneratedTiledNests(t *testing.T) {
 		p.Run(sim.Access)
 		res := sim.Results()
 
-		predInf, err := a.PredictTotal(env, 1<<40)
+		predInf, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: 1 << 40})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestGeneratedTiledNests(t *testing.T) {
 		// while tolerating boundary flips.
 		slack := res.Accesses/2 + 40
 		for wi, c := range watches {
-			pred, err := a.PredictTotal(env, c)
+			pred, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: c})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -375,12 +375,7 @@ func (s *Service) computePredict(ctx context.Context, spec *loopir.Spec, cfg cor
 	f := a.GetFrame()
 	defer a.PutFrame(f)
 	f.Bind(spec.ExprEnv())
-	var rep *core.MissReport
-	if cfg.Ways > 0 {
-		rep, err = a.PredictMissesFrameConfig(f, cfg)
-	} else {
-		rep, err = a.PredictMissesFrame(f, cfg.CapacityElems)
-	}
+	rep, err := a.PredictMissesFrameConfig(f, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -36,11 +36,7 @@ func (w *Workload) PredictConflict(cfg core.CacheConfig) (int64, error) {
 	f := w.Analysis.GetFrame()
 	defer w.Analysis.PutFrame(f)
 	f.Bind(w.Env)
-	rep, err := w.Analysis.PredictMissesFrameConfig(f, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Total, nil
+	return w.Analysis.PredictTotalFrameConfig(f, cfg)
 }
 
 // PredictFA is the fully-associative counterpart of PredictConflict: the
@@ -49,9 +45,5 @@ func (w *Workload) PredictFA(capacity int64) (int64, error) {
 	f := w.Analysis.GetFrame()
 	defer w.Analysis.PutFrame(f)
 	f.Bind(w.Env)
-	rep, err := w.Analysis.PredictMissesFrame(f, capacity)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Total, nil
+	return w.Analysis.PredictTotalFrameConfig(f, core.CacheConfig{CapacityElems: capacity})
 }

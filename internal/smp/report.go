@@ -51,7 +51,7 @@ func PredictUneven(a *core.Analysis, env expr.Env, cfg Config, tile int64) (*Pre
 	flopsProg := expr.Compile(Flops(a.Nest), a.SymTab())
 	eval := func(chunkTiles int64) (misses, flops int64, err error) {
 		f.SetName(cfg.SplitSymbol, chunkTiles*tile)
-		misses, err = a.PredictTotalFrame(f, cfg.CacheElems)
+		misses, err = a.PredictTotalFrameConfig(f, core.CacheConfig{CapacityElems: cfg.CacheElems})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -138,7 +138,7 @@ func Predict(a *core.Analysis, env expr.Env, cfg Config) (*Prediction, error) {
 // predictFrame runs one prediction against an already-bound frame (the split
 // bound already scaled by 1/P).
 func predictFrame(a *core.Analysis, f *expr.Frame, flopsProg *expr.Program, cfg Config) (*Prediction, error) {
-	misses, err := a.PredictTotalFrame(f, cfg.CacheElems)
+	misses, err := a.PredictTotalFrameConfig(f, core.CacheConfig{CapacityElems: cfg.CacheElems})
 	if err != nil {
 		return nil, err
 	}

@@ -49,7 +49,7 @@ func TestFourIndexPipeline(t *testing.T) {
 	res := sim.Results()
 	total, _ := p.Length()
 	for i, cap := range watches {
-		pred, err := a.PredictTotal(env, cap)
+		pred, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cap})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestFourIndexPipeline(t *testing.T) {
 		}
 	}
 	// Compulsory misses must be exact.
-	predInf, _ := a.PredictTotal(env, 1<<40)
+	predInf, _ := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: 1 << 40})
 	if predInf != res.Distinct {
 		t.Errorf("compulsory %d vs distinct %d", predInf, res.Distinct)
 	}

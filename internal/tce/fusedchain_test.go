@@ -227,7 +227,7 @@ func TestFusedFourIndexAnalyzable(t *testing.T) {
 	res := sim.Results()
 	total, _ := p.Length()
 	for i, cap := range watches {
-		pred, err := a.PredictTotal(env, cap)
+		pred, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cap})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestFusedFourIndexAnalyzable(t *testing.T) {
 			t.Errorf("cap %d: predicted %d vs simulated %d (trace %d)", cap, pred, res.Misses[i], total)
 		}
 	}
-	predInf, _ := a.PredictTotal(env, 1<<40)
+	predInf, _ := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: 1 << 40})
 	if predInf != res.Distinct {
 		t.Errorf("compulsory %d vs distinct %d", predInf, res.Distinct)
 	}

@@ -86,11 +86,11 @@ func TestLoopFusionOnGeneratedCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	const cache = 64
-	mu, err := au.PredictTotal(env, cache)
+	mu, err := au.PredictTotalFrameConfig(au.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf, err := af.PredictTotal(env, cache)
+	mf, err := af.PredictTotalFrameConfig(af.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

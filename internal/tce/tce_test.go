@@ -122,7 +122,7 @@ func TestGenLoopNestTwoIndex(t *testing.T) {
 	p.Run(sim.Access)
 	res := sim.Results()
 	for i, cap := range watches {
-		pred, err := a.PredictTotal(env, cap)
+		pred, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cap})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestFusedTwoIndexNest(t *testing.T) {
 	p.Run(sim.Access)
 	res := sim.Results()
 	for i, cap := range watches {
-		pred, err := a.PredictTotal(env, cap)
+		pred, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cap})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,14 +13,13 @@ import (
 // runs compiled programs, so a warm evaluation allocates only the two cache
 // key strings (candidate key + per-component keys).
 
-func warmEvaluator(tb testing.TB, treeEval bool) (*evaluator, map[string]int64) {
+func warmEvaluator(tb testing.TB) (*evaluator, map[string]int64) {
 	tb.Helper()
 	a := testutil.AnalyzedMatmul(tb)
 	ev := newEvaluator(a, Options{
 		Dims:       matmulDims(64),
 		CacheElems: 512,
 		BaseEnv:    expr.Env{"N": 64},
-		TreeEval:   treeEval,
 	})
 	tiles := map[string]int64{"TI": 8, "TJ": 8, "TK": 8}
 	if _, err := ev.eval(tiles, ev.seqFrame); err != nil {
@@ -34,7 +33,7 @@ func warmEvaluator(tb testing.TB, treeEval bool) (*evaluator, map[string]int64) 
 // regression to per-candidate Env maps shows up as several extra allocations
 // per op.
 func TestWarmCandidateEvalAllocs(t *testing.T) {
-	ev, tiles := warmEvaluator(t, false)
+	ev, tiles := warmEvaluator(t)
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := ev.eval(tiles, ev.seqFrame); err != nil {
 			t.Fatal(err)
@@ -50,14 +49,14 @@ func TestWarmCandidateEvalAllocs(t *testing.T) {
 // search once the eval cache is warm): at most one key string per component
 // plus the candidate bookkeeping.
 func TestWarmFrameScoringAllocs(t *testing.T) {
-	ev, tiles := warmEvaluator(t, false)
+	ev, tiles := warmEvaluator(t)
 	f := ev.seqFrame
 	for i, d := range ev.opt.Dims {
 		f.Set(ev.dimSlots[i], tiles[d.Symbol])
 	}
 	comps := len(ev.a.Components)
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := ev.ec.PredictTotalFrame(f, ev.opt.CacheElems); err != nil {
+		if _, err := ev.ec.PredictTotalFrameConfig(f, ev.cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -67,13 +66,12 @@ func TestWarmFrameScoringAllocs(t *testing.T) {
 	}
 }
 
-// benchEval measures the uncached scoring path by rotating through a window
-// of tile assignments large enough that the candidate cache always misses
-// would be wrong — instead it scores a fixed candidate set so both paths do
-// identical (fully warm) work and the benchmark isolates per-candidate
-// overhead: Env building + tree walking vs slot stores + compiled programs.
-func benchEval(b *testing.B, treeEval bool) {
-	ev, _ := warmEvaluator(b, treeEval)
+// BenchmarkCandidateScoreFrame scores a fixed candidate set through
+// evaluator.compute, bypassing the candidate cache, so each op is the
+// per-candidate overhead on a warm component cache: slot stores plus the
+// compiled prediction loop.
+func BenchmarkCandidateScoreFrame(b *testing.B) {
+	ev, _ := warmEvaluator(b)
 	tileSet := []map[string]int64{
 		{"TI": 4, "TJ": 4, "TK": 4},
 		{"TI": 8, "TJ": 8, "TK": 8},
@@ -94,6 +92,3 @@ func benchEval(b *testing.B, treeEval bool) {
 		}
 	}
 }
-
-func BenchmarkCandidateScoreFrame(b *testing.B) { benchEval(b, false) }
-func BenchmarkCandidateScoreTree(b *testing.B)  { benchEval(b, true) }

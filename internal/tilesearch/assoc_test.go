@@ -11,8 +11,8 @@ import (
 )
 
 // Tests for the set-associative scoring path: Options.Ways/LineElems thread
-// a core.CacheConfig through every evaluator branch (compiled frames,
-// tree-walking, unknown bounds) and through the knee analysis. The contract
+// a core.CacheConfig through every evaluator branch (exact scoring and the
+// unknown-bounds reduction) and through the knee analysis. The contract
 // under test is two-sided: a fully-associative geometry must leave every
 // result byte-identical to the capacity-only model, and a set-associative
 // one must actually change the scores where conflicts bite.
@@ -66,7 +66,8 @@ func TestSearchInvalidGeometry(t *testing.T) {
 // TestSearchSetAssocDiffersAndIsDeterministic: a direct-mapped geometry must
 // change candidate scores on the resonant matmul (stride-N column lattices
 // land on few sets), and the set-associative search must stay byte-identical
-// across parallelism levels and across the compiled/tree-walking paths.
+// across parallelism levels. (The tree-walking oracle check of the same
+// search lives in core's TestSearchCandidatesMatchTreeOracle.)
 func TestSearchSetAssocDiffersAndIsDeterministic(t *testing.T) {
 	a := testutil.AnalyzedMatmul(t)
 	const n, cache = 64, 512
@@ -101,15 +102,6 @@ func TestSearchSetAssocDiffersAndIsDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(got, dm) {
 			t.Fatalf("parallelism %d: set-associative search differs from sequential", parallelism)
 		}
-	}
-	tree := opt
-	tree.TreeEval = true
-	treeRes, err := Search(a, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(treeRes.Best, dm.Best) {
-		t.Fatalf("tree-eval best %v differs from compiled best %v", treeRes.Best, dm.Best)
 	}
 }
 
@@ -162,7 +154,7 @@ func TestKneeAnalysisConfig(t *testing.T) {
 			env[kk] = vv
 		}
 		env[k.Dim] = k.LastFit
-		rep, err := a.PredictMissesConfig(env, cfg)
+		rep, err := a.PredictMissesFrameConfig(a.SymTab().FrameOf(env), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +179,8 @@ func TestKneeAnalysisConfig(t *testing.T) {
 
 // TestSearchSetAssocUnknownBounds: the unknown-bounds reduction must compose
 // with the conflict-aware path without error and stay deterministic across
-// the frame and tree scoring routes.
+// parallelism levels. (The tree-walking oracle check of the same search
+// lives in core's TestSearchCandidatesMatchTreeOracle.)
 func TestSearchSetAssocUnknownBounds(t *testing.T) {
 	a := testutil.AnalyzedMatmul(t)
 	const n, cache = 64, 512
@@ -203,13 +196,13 @@ func TestSearchSetAssocUnknownBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := opt
-	tree.TreeEval = true
-	treeRes, err := Search(a, tree)
+	par := opt
+	par.Parallelism = 4
+	parRes, err := Search(a, par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(treeRes.Best, got.Best) {
-		t.Fatalf("tree-eval unknown-bounds best %v differs from compiled %v", treeRes.Best, got.Best)
+	if !reflect.DeepEqual(parRes, got) {
+		t.Fatalf("parallel unknown-bounds result %+v differs from sequential %+v", parRes, got)
 	}
 }

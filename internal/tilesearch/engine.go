@@ -34,11 +34,8 @@ type evaluator struct {
 	opt     Options
 	ctx     context.Context
 	workers int
-	// cfg/useConf carry the set-associative geometry when Options.Ways is
-	// set; useConf false keeps the fully-associative scoring paths
-	// byte-identical to earlier releases.
-	cfg     core.CacheConfig
-	useConf bool
+	// cfg is the cache geometry every candidate is scored against.
+	cfg core.CacheConfig
 
 	// dimSlots are the SymTab slots of the tile symbols, aligned with
 	// opt.Dims: binding a candidate into a frame is len(Dims) stores, no
@@ -49,8 +46,8 @@ type evaluator struct {
 	// evalBatch — frames are single-goroutine scratch.
 	seqFrame *expr.Frame
 	// Unknown-bounds mode: per-component flags precomputed once so the
-	// per-candidate scoring loop does no Vars() set-building (boundFreeMisses
-	// used to rebuild them per call). Aligned with a.Components.
+	// per-candidate scoring loop does no Vars() set-building. Aligned with
+	// a.Components.
 	infSD   []bool
 	boundSD []bool
 
@@ -85,7 +82,6 @@ func newEvaluator(a *core.Analysis, opt Options) *evaluator {
 		cands:   map[string]*candEntry{},
 	}
 	ev.cfg = opt.cacheConfig()
-	ev.useConf = !ev.cfg.FullyAssociative()
 	tab := a.SymTab()
 	ev.dimSlots = make([]int, len(opt.Dims))
 	for i, d := range opt.Dims {
@@ -148,49 +144,15 @@ func (ev *evaluator) eval(tiles map[string]int64, f *expr.Frame) (Candidate, err
 }
 
 func (ev *evaluator) compute(tiles map[string]int64, f *expr.Frame) (Candidate, error) {
-	if ev.opt.TreeEval {
-		return ev.computeTree(tiles)
-	}
 	for i, d := range ev.opt.Dims {
 		f.Set(ev.dimSlots[i], tiles[d.Symbol])
 	}
 	var misses int64
 	var err error
-	switch {
-	case ev.opt.UnknownBounds != nil:
-		misses, err = ev.boundFreeMissesFrame(f)
-	case ev.useConf:
+	if ev.opt.UnknownBounds != nil {
+		misses, err = ev.boundFreeMisses(f)
+	} else {
 		misses, err = ev.ec.PredictTotalFrameConfig(f, ev.cfg)
-	default:
-		misses, err = ev.ec.PredictTotalFrame(f, ev.opt.CacheElems)
-	}
-	if err != nil {
-		return Candidate{}, err
-	}
-	return Candidate{Tiles: cloneTiles(tiles), Misses: misses}, nil
-}
-
-// computeTree is the pre-compilation scoring path — Env maps and
-// tree-walking evaluation — kept alive as the measured baseline for
-// BENCH_eval.json (Options.TreeEval). Results are identical to compute;
-// only the cost differs.
-func (ev *evaluator) computeTree(tiles map[string]int64) (Candidate, error) {
-	env := expr.Env{}
-	for k, v := range ev.opt.BaseEnv {
-		env[k] = v
-	}
-	for k, v := range tiles {
-		env[k] = v
-	}
-	var misses int64
-	var err error
-	switch {
-	case ev.opt.UnknownBounds != nil:
-		misses, err = ev.boundFreeMisses(env)
-	case ev.useConf:
-		misses, err = ev.a.PredictTotalConfig(env, ev.cfg)
-	default:
-		misses, err = ev.ec.PredictTotal(env, ev.opt.CacheElems)
 	}
 	if err != nil {
 		return Candidate{}, err
@@ -277,29 +239,8 @@ func (ev *evaluator) evalBatch(assigns []map[string]int64) ([]Candidate, error) 
 // bounds are unknown but large, so any distance proportional to a bound
 // exceeds the cache). Counts use the surrogate bounds, which scale all
 // candidates identically.
-func (ev *evaluator) boundFreeMisses(env expr.Env) (int64, error) {
-	var rep *core.MissReport
-	var err error
-	if ev.useConf {
-		rep, err = ev.a.PredictMissesConfig(env, ev.cfg)
-	} else {
-		rep, err = ev.ec.PredictMisses(env, ev.opt.CacheElems)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return ev.reduceBoundFree(rep), nil
-}
-
-// boundFreeMissesFrame is boundFreeMisses through the frame path.
-func (ev *evaluator) boundFreeMissesFrame(f *expr.Frame) (int64, error) {
-	var rep *core.MissReport
-	var err error
-	if ev.useConf {
-		rep, err = ev.ec.PredictMissesFrameConfig(f, ev.cfg)
-	} else {
-		rep, err = ev.ec.PredictMissesFrame(f, ev.opt.CacheElems)
-	}
+func (ev *evaluator) boundFreeMisses(f *expr.Frame) (int64, error) {
+	rep, err := ev.ec.PredictMissesFrameConfig(f, ev.cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -307,8 +248,7 @@ func (ev *evaluator) boundFreeMissesFrame(f *expr.Frame) (int64, error) {
 }
 
 // reduceBoundFree folds a report with the precomputed per-component flags.
-// Detail is in a.Components order on both prediction paths, so the flag
-// slices index it directly.
+// Detail is in a.Components order, so the flag slices index it directly.
 func (ev *evaluator) reduceBoundFree(rep *core.MissReport) int64 {
 	var total int64
 	for i, d := range rep.Detail {

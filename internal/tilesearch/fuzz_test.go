@@ -9,8 +9,8 @@ import (
 )
 
 // FuzzAnalyzeNoPanic feeds fuzzed loop-bound and tile-size values through
-// the full model pipeline — core.AnalyzeWithOptions, PredictMisses and
-// Search — and asserts the absence of panics and of negative miss counts.
+// the full model pipeline — core.AnalyzeWithOptions,
+// PredictMissesFrameConfig and Search — and asserts the absence of panics and of negative miss counts.
 // Inputs outside the model's class (tiles that do not divide the bound,
 // absurd capacities) must surface as errors, never as panics or negative
 // predictions.
@@ -43,7 +43,7 @@ func FuzzAnalyzeNoPanic(f *testing.F) {
 		}
 
 		env := expr.Env{"N": n, "TI": ti, "TJ": tj, "TK": tk}
-		if rep, err := a.PredictMisses(env, cache); err == nil {
+		if rep, err := a.PredictMissesFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cache}); err == nil {
 			if rep.Total < 0 {
 				t.Fatalf("negative total misses %d for env %v cache %d", rep.Total, env, cache)
 			}

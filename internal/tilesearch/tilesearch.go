@@ -70,11 +70,6 @@ type Options struct {
 	// 0 and 1 evaluate sequentially; negative values use GOMAXPROCS. The
 	// search result is byte-identical at every parallelism level.
 	Parallelism int
-	// TreeEval forces the pre-compilation scoring path: per-candidate Env
-	// maps and tree-walking expression evaluation instead of per-worker
-	// frames and compiled programs. Results are identical either way; the
-	// flag exists as the measured baseline for BENCH_eval.json.
-	TreeEval bool
 	// Context, when non-nil, cancels an in-flight search; Search and
 	// Exhaustive then return the context's error.
 	Context context.Context
@@ -106,8 +101,8 @@ type ProgressEvent struct {
 }
 
 // cacheConfig packs the cache geometry options into a core.CacheConfig.
-// With Ways zero this is a fully-associative config and every scoring path
-// stays on the capacity-only model.
+// With Ways zero this is a fully-associative config: the capacity-only
+// model.
 func (opt Options) cacheConfig() core.CacheConfig {
 	return core.CacheConfig{
 		CapacityElems: opt.CacheElems,

@@ -3,6 +3,7 @@ package tilesearch
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/testutil"
 )
@@ -35,7 +36,7 @@ func TestSearchBeatsExhaustiveGrid(t *testing.T) {
 		for _, tj := range []int64{4, 8, 16, 32, 64} {
 			for _, tk := range []int64{4, 8, 16, 32, 64} {
 				env := expr.Env{"N": n, "TI": ti, "TJ": tj, "TK": tk}
-				m, err := a.PredictTotal(env, cache)
+				m, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cache})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +73,7 @@ func TestSearchImprovesOnEquiTiles(t *testing.T) {
 	for _, eq := range []int64{16, 32, 64, 128} {
 		env := expr.Env{"NI": n, "NJ": n, "NM": n, "NN": n,
 			"TI": eq, "TJ": eq, "TM": eq, "TN": eq}
-		m, err := a.PredictTotal(env, cache)
+		m, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestUnknownBoundsStability(t *testing.T) {
 		for k, v := range unk.Best.Tiles {
 			env[k] = v
 		}
-		m, err := a.PredictTotal(env, cache)
+		m, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: cache})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,11 +76,11 @@ func RunAssoc(a *core.Analysis, env expr.Env, capacities []int64, ways, lineElem
 	f := a.SymTab().FrameOf(env)
 	out := make([]AssocComparison, len(capacities))
 	for i, cap := range capacities {
-		fa, err := a.PredictMissesFrame(f, cap)
+		fa, err := a.PredictTotalFrameConfig(f, core.CacheConfig{CapacityElems: cap})
 		if err != nil {
 			return nil, err
 		}
-		conf, err := a.PredictMissesFrameConfig(f, core.CacheConfig{
+		conf, err := a.PredictTotalFrameConfig(f, core.CacheConfig{
 			CapacityElems: cap, Ways: ways, LineElems: lineElems,
 		})
 		if err != nil {
@@ -92,8 +92,8 @@ func RunAssoc(a *core.Analysis, env expr.Env, capacities []int64, ways, lineElem
 			LineElems:         lineElems,
 			Accesses:          caches[i].Accesses(),
 			Simulated:         caches[i].Misses(),
-			PredictedFA:       fa.Total,
-			PredictedConflict: conf.Total,
+			PredictedFA:       fa,
+			PredictedConflict: conf,
 		}
 	}
 	return out, nil

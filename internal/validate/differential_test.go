@@ -148,7 +148,7 @@ func TestDifferentialDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			total, err := a.PredictTotal(env, 64)
+			total, err := a.PredictTotalFrameConfig(a.SymTab().FrameOf(env), core.CacheConfig{CapacityElems: 64})
 			if err != nil {
 				t.Fatal(err)
 			}

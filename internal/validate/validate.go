@@ -99,7 +99,7 @@ func runOne(a *core.Analysis, env expr.Env, watches []int64, m *obs.Metrics, opt
 	sites := a.Nest.Sites() // trace.Compile assigns site ids in this order
 	var out []Comparison
 	for wi, cap := range watches {
-		rep, err := a.PredictMissesFrame(f, cap)
+		rep, err := a.PredictMissesFrameConfig(f, core.CacheConfig{CapacityElems: cap})
 		if err != nil {
 			return nil, err
 		}
