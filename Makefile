@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet race fuzz-smoke bench bench-sim bench-eval bench-assoc bench-serve bench-serve-smoke bench-optimize bench-cluster bench-cluster-smoke bench-layered bench-layered-check serve-check cover golden
+.PHONY: all build test check vet race fuzz-smoke bench bench-smoke bench-layered bench-layered-check serve-check cover golden
 
 all: build
 
@@ -35,75 +35,20 @@ fuzz-smoke:
 
 check: vet race fuzz-smoke
 
+# Library benchmark rows (cmd/bench): the simulation engines, the
+# set-associative model's accuracy, compiled evaluation and tile search,
+# the joint plan search, the in-process serving layer and the cluster tier,
+# written to the committed BENCH.json (one row schema, one host block).
+# Every served response is byte-verified against the direct library call.
 bench:
-	$(GO) test -bench . -benchtime 1x ./...
+	$(GO) run ./cmd/bench -o BENCH.json
 
-# Simulation-pipeline benchmarks (frozen scalar baseline vs batched/sharded,
-# plus per-engine rows) and the committed BENCH_sim.json artifact. The
-# go-test benchmarks and the artifact generator share the internal/simbench
-# workload definitions, so the two outputs measure the same thing. The final
-# smoke run fails if the analytic engine is not ≥100× faster than the exact
-# simulator on the n=512 matmul.
-bench-sim:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/simbench
-	$(GO) run ./cmd/simbench -o BENCH_sim.json
-	$(GO) run ./cmd/simbench -smoke
-
-# Symbolic-evaluation benchmarks (tree-walking baseline vs compiled
-# programs on slot frames) and the committed BENCH_eval.json artifact,
-# sharing the internal/evalbench workload definitions the same way
-# bench-sim shares internal/simbench.
-bench-eval:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/evalbench
-	$(GO) run ./cmd/evalbench -o BENCH_eval.json
-
-# Set-associative accuracy benchmarks: the conflict-aware model against the
-# AssocCache ground truth across an associativity sweep, plus ns/prediction
-# for both models, written to the committed BENCH_assoc.json artifact. The
-# go-test benchmarks and the artifact generator share internal/simbench, so
-# CI's 1-iteration simbench smoke exercises these paths too.
-bench-assoc:
-	$(GO) test -run '^$$' -bench '^BenchmarkAssoc' -benchmem ./internal/simbench
-	$(GO) run ./cmd/simbench -assoc -o BENCH_assoc.json
-
-# Serving-layer load test: 32 closed-loop clients against an in-process
-# server, every response verified byte-for-byte against the direct library
-# call, throughput and latency percentiles written to BENCH_serve.json.
-# Scenarios: predict-hot, mixed, the batch 1/8/64 sweep (items/sec and
-# speedup vs predict-hot), NDJSON streaming, and the 64-client storm
-# (single-request p99 with batch traffic in the mix).
-bench-serve:
-	$(GO) run ./cmd/loadgen -clients 32 -duration 2s -o BENCH_serve.json
-
-# Short regression tripwire for the batch amortization claim: asserts
-# batch-64 items/sec ≥ 3× the predict-hot request rate. CI-friendly.
-bench-serve-smoke:
-	$(GO) run ./cmd/loadgen -scenario batch -batch-size 64 -smoke \
-		-clients 16 -duration 500ms -o ""
-
-# Joint transformation-search benchmarks (the plan search vs the tile-only
-# baseline on the committed workloads) and the BENCH_opt.json artifact,
-# sharing internal/optbench the same way bench-sim shares internal/simbench.
-# The smoke run fails if any workload's joint winner stops strictly beating
-# its tile-only baseline.
-bench-optimize:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/optbench
-	$(GO) run ./cmd/optbench -o BENCH_opt.json
-	$(GO) run ./cmd/optbench -smoke
-
-# Cluster-tier benchmark: a key sweep bigger than one replica's caches,
-# routed through analysisrouter, single replica vs 4 — the aggregate
-# cache-capacity win consistent-hash sharding buys even on one core. Every
-# response is byte-verified against the direct library computation and the
-# artifact is committed as BENCH_cluster.json.
-bench-cluster:
-	$(GO) run ./cmd/clusterbench -o BENCH_cluster.json
-	$(GO) run ./cmd/clusterbench -smoke -o ""
-
-# Short regression tripwire for the scale-out claim: asserts 4-replica
-# throughput ≥ 2.5× single-replica. CI-friendly.
-bench-cluster-smoke:
-	$(GO) run ./cmd/clusterbench -smoke -duration 1s -o ""
+# The four regression gates, as CI runs them: analytic ≥100× exact on the
+# n=512 matmul, batch-64 items/s ≥ 3× predict-hot req/s, 4 replicas ≥ 2.5×
+# one replica, and the joint search strictly beating tile-only on every
+# opt workload.
+bench-smoke:
+	$(GO) run ./cmd/bench -smoke
 
 # The layered analysisd benchmark (perfbench/, declared by BENCHMARK.json):
 # one timed run of one workload. WORKLOAD is hot-repeat, fresh-sweep,

@@ -41,11 +41,7 @@ func (tr *Trace) Start(name string) *Span {
 	if tr == nil {
 		return nil
 	}
-	s := &Span{tr: tr, id: tr.seq.Add(1), name: name, start: time.Now()}
-	tr.mu.Lock()
-	tr.spans = append(tr.spans, s)
-	tr.mu.Unlock()
-	return s
+	return tr.open(name, 0)
 }
 
 // Child opens a span nested under s. Returns nil on a nil span.
@@ -53,9 +49,17 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := s.tr.Start(name)
-	c.parent = s.id
-	return c
+	return s.tr.open(name, s.id)
+}
+
+// open records a new span. Its fields are complete before it is published
+// to tr.spans, where Records reads them without the span's lock.
+func (tr *Trace) open(name string, parent int64) *Span {
+	s := &Span{tr: tr, id: tr.seq.Add(1), parent: parent, name: name, start: time.Now()}
+	tr.mu.Lock()
+	tr.spans = append(tr.spans, s)
+	tr.mu.Unlock()
+	return s
 }
 
 // SetAttr attaches an integer attribute to the span. No-op on nil.

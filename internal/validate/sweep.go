@@ -34,12 +34,6 @@ type SweepOptions struct {
 	// construction — useful to exercise the analytic plumbing under the
 	// sweep's parallelism and comparison shape).
 	Engine cachesim.Engine
-	// Scalar selects the per-access reference pipeline (trace.RunScalar +
-	// ReferenceSim.Access) instead of the batched one for the exact engine.
-	// It exists for the benchmark baseline and for differential testing of
-	// the batched path itself; results are identical either way. Ignored by
-	// the sampled and analytic engines.
-	Scalar bool
 	// BlockSize overrides the trace block size for the batched pipeline;
 	// 0 means trace.DefaultBlockSize.
 	BlockSize int

@@ -6,11 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cachesim"
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/nestgen"
 	"repro/internal/obs"
 	"repro/internal/testutil"
+	"repro/internal/trace"
 )
 
 // sweepCorpus generates a small deterministic corpus for sweep tests.
@@ -30,39 +32,49 @@ func sweepCorpus(t *testing.T, n int) []Case {
 	return cases
 }
 
+// scalarSweep is the per-access reference pipeline: trace.RunScalar
+// feeding the Fenwick-tree cachesim.ReferenceSim, compared and counted the
+// way the batched exact engine is. It is the differential oracle the
+// batched path is pinned to.
+func scalarSweep(t *testing.T, cases []Case, watches []int64, m *obs.Metrics) [][]Comparison {
+	t.Helper()
+	out := make([][]Comparison, len(cases))
+	for i, c := range cases {
+		p, err := trace.Compile(c.Analysis.Nest, c.Env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := cachesim.NewReferenceSim(p.Size, len(p.Sites), watches)
+		p.RunScalar(ref.Access)
+		ref.FlushMetrics(m)
+		if out[i], err = compare(c.Analysis, c.Env, watches, ref.Results()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // TestRunSweepDeterministic pins the sharded sweep's determinism claim:
 // identical comparisons and identical aggregated cachesim counters at every
-// parallelism level, with the scalar and batched pipelines also agreeing.
+// parallelism level, all equal to the sequential scalar reference.
 func TestRunSweepDeterministic(t *testing.T) {
 	cases := sweepCorpus(t, 9)
 	watches := []int64{8, 64, 256}
 
-	type outcome struct {
-		cmps     [][]Comparison
-		counters map[string]int64
-	}
-	runAt := func(parallelism int, scalar bool) outcome {
+	m := obs.New()
+	ref := scalarSweep(t, cases, watches, m)
+	refCounters := m.Counters()
+	for _, j := range []int{1, 4, 8, -1} {
 		m := obs.New()
-		cmps, err := RunSweep(cases, watches, SweepOptions{Parallelism: parallelism, Obs: m, Scalar: scalar})
+		got, err := RunSweep(cases, watches, SweepOptions{Parallelism: j, Obs: m})
 		if err != nil {
-			t.Fatalf("sweep (j=%d scalar=%v): %v", parallelism, scalar, err)
+			t.Fatalf("sweep (j=%d): %v", j, err)
 		}
-		return outcome{cmps: cmps, counters: m.Counters()}
-	}
-
-	ref := runAt(1, true) // sequential scalar reference
-	for _, cfg := range []struct {
-		j      int
-		scalar bool
-	}{{1, false}, {4, false}, {8, false}, {8, true}, {-1, false}} {
-		got := runAt(cfg.j, cfg.scalar)
-		if !reflect.DeepEqual(got.cmps, ref.cmps) {
-			t.Fatalf("comparisons at j=%d scalar=%v diverge from sequential scalar reference",
-				cfg.j, cfg.scalar)
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("comparisons at j=%d diverge from sequential scalar reference", j)
 		}
-		if !reflect.DeepEqual(got.counters, ref.counters) {
-			t.Fatalf("obs counters at j=%d scalar=%v diverge:\n%v\nwant\n%v",
-				cfg.j, cfg.scalar, got.counters, ref.counters)
+		if counters := m.Counters(); !reflect.DeepEqual(counters, refCounters) {
+			t.Fatalf("obs counters at j=%d diverge:\n%v\nwant\n%v", j, counters, refCounters)
 		}
 	}
 }
@@ -102,7 +114,7 @@ func TestRunSweepEarliestError(t *testing.T) {
 	}
 }
 
-// TestRunObservedBatchedMatchesScalar pins RunObserved (now on the batched
+// TestRunObservedBatchedMatchesScalar pins RunObserved (on the batched
 // pipeline) to the scalar reference path on the sweep corpus.
 func TestRunObservedBatchedMatchesScalar(t *testing.T) {
 	cases := sweepCorpus(t, 4)
@@ -112,10 +124,7 @@ func TestRunObservedBatchedMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scalar, err := RunSweep([]Case{c}, watches, SweepOptions{Scalar: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		scalar := scalarSweep(t, []Case{c}, watches, nil)
 		if !reflect.DeepEqual(batched, scalar[0]) {
 			t.Fatalf("%s: batched and scalar comparisons diverge", c.Name)
 		}
@@ -127,10 +136,7 @@ func TestRunObservedBatchedMatchesScalar(t *testing.T) {
 func TestRunSweepOddBlockSize(t *testing.T) {
 	cases := sweepCorpus(t, 3)
 	watches := []int64{8, 64}
-	ref, err := RunSweep(cases, watches, SweepOptions{Scalar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := scalarSweep(t, cases, watches, nil)
 	got, err := RunSweep(cases, watches, SweepOptions{BlockSize: 3, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)

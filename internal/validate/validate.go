@@ -80,7 +80,8 @@ func Run(a *core.Analysis, env expr.Env, watches []int64) ([]Comparison, error) 
 //
 // The simulation goes through the batched pipeline (trace.RunBlocks feeding
 // cachesim.AccessBlock); results and counter values are identical to the
-// per-access path, which remains reachable via RunSweep's Scalar option.
+// per-access cachesim.ReferenceSim, which the package's tests keep as the
+// differential oracle.
 func RunObserved(a *core.Analysis, env expr.Env, watches []int64, m *obs.Metrics) ([]Comparison, error) {
 	return runOne(a, env, watches, m, SweepOptions{})
 }
@@ -92,7 +93,12 @@ func runOne(a *core.Analysis, env expr.Env, watches []int64, m *obs.Metrics, opt
 	if err != nil {
 		return nil, err
 	}
+	return compare(a, env, watches, res)
+}
 
+// compare pairs simulated results with the model's predictions at every
+// watched capacity.
+func compare(a *core.Analysis, env expr.Env, watches []int64, res cachesim.Results) ([]Comparison, error) {
 	// Bind the environment into one frame and reuse it across the capacity
 	// sweep: the per-capacity predictions share every expression evaluation.
 	f := a.SymTab().FrameOf(env)
@@ -156,15 +162,6 @@ func simulateOne(a *core.Analysis, env expr.Env, watches []int64, m *obs.Metrics
 		p, err := trace.Compile(a.Nest, env)
 		if err != nil {
 			return cachesim.Results{}, err
-		}
-		if opt.Scalar {
-			// The frozen pre-batching pipeline: per-access emission into the
-			// Fenwick-tree reference simulator. Kept both as a benchmark
-			// baseline and as an independent implementation to diff against.
-			ref := cachesim.NewReferenceSim(p.Size, len(p.Sites), watches)
-			p.RunScalar(ref.Access)
-			ref.FlushMetrics(m)
-			return ref.Results(), nil
 		}
 		sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
 		p.RunBlocks(opt.BlockSize, sim.AccessBlock)
